@@ -20,25 +20,23 @@ is end-to-end *committed* ops/s, not just ack/s.
 Phases:
 
 - ``file_create`` — the acceptance phase: async throughput must be
-  **>= 2x** sync (``check_async_regression``; the observed speedup at
-  the committed scales is >= 3x, the CI floor leaves noise headroom);
+  **>= 2x** sync (the ``async`` floor in :data:`repro.bench.suites.SUITES`;
+  the observed speedup at the committed scales is >= 3x, the CI floor
+  leaves noise headroom);
 - ``file_remove`` — reported for the record: unlink still pays the
   synchronous payload lookup and physical unlink, so its speedup is
   bounded by the read path, not the ack path.
-
-Results are machine-readable (:func:`write_async_bench_json`) so CI
-tracks the trajectory and fails on regression.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+from typing import Dict
 
 from ..core.fs import build_dufs_deployment
 from ..models.params import AsyncParams, SimParams
 from ..workloads.mdtest import MdtestConfig, run_mdtest
 from ..workloads.treegen import TreeSpec
+from .suites import render_off_on, run_off_on
 
 _SCALES = {
     # scale -> (n_zk, n_client_nodes, items_per_proc). One mdtest proc
@@ -54,10 +52,6 @@ _SCALES = {
 }
 
 PHASES = ("file_create", "file_remove")
-
-#: Acceptance floor (ISSUE): async file_create throughput vs sync. The
-#: target is >= 3x; CI gates at 2x to absorb scheduling noise.
-CREATE_FLOOR = 2.0
 
 
 def _params() -> SimParams:
@@ -107,35 +101,15 @@ def _run_side(awrite: AsyncParams, scale: str, seed: int) -> Dict:
     }
 
 
-def run_async_ablation(scale: str = "quick", seed: int = 0) -> Dict:
+def run(scale: str = "quick", seed: int = 0) -> Dict:
     """Run the ablation; returns a JSON-ready result document."""
-    off = _run_side(AsyncParams(), scale, seed)
-    on = _run_side(AsyncParams.async_on(), scale, seed)
-    return {
-        "benchmark": "async_ablation",
-        "scale": scale,
-        "seed": seed,
-        "off": off,
-        "on": on,
-        "speedup": {
-            name: (on["phases"][name]["ops_per_s"]
-                   / off["phases"][name]["ops_per_s"]
-                   if off["phases"][name]["ops_per_s"] else 0.0)
-            for name in PHASES
-        },
-    }
+    return run_off_on("async_ablation", _run_side, AsyncParams(),
+                      AsyncParams.async_on(), scale, seed, PHASES)
 
 
-def render_async_ablation(doc: Dict) -> str:
-    lines = [f"async-write ablation (scale={doc['scale']} "
-             f"seed={doc['seed']}):",
-             f"  {'phase':<12} {'sync ops/s':>12} {'async ops/s':>12} "
-             f"{'speedup':>8}"]
-    for name in PHASES:
-        off = doc["off"]["phases"][name]["ops_per_s"]
-        on = doc["on"]["phases"][name]["ops_per_s"]
-        lines.append(f"  {name:<12} {off:>12,.0f} {on:>12,.0f} "
-                     f"{doc['speedup'][name]:>7.2f}x")
+def render(doc: Dict) -> str:
+    lines = render_off_on(doc, "async-write ablation", PHASES,
+                          "sync ops/s", "async ops/s")
     w = doc["on"]["wblog"]
     b = doc["on"]["drain_batches"]
     fill = b["items"] / b["flushes"] if b["flushes"] else 0.0
@@ -148,46 +122,3 @@ def render_async_ablation(doc: Dict) -> str:
         f"{lat_on:,.0f}us async ack")
     return "\n".join(lines)
 
-
-def write_async_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_async_regression(doc: Dict, baseline: Dict,
-                           tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh run against the committed baseline.
-
-    Failures: any async-arm phase throughput more than ``tolerance``
-    below baseline, a rejected or stalled op in the clean-run ablation,
-    or a ``file_create`` speedup under the 2x acceptance floor. A phase
-    missing from the baseline (stale or hand-edited JSON) is reported
-    with a regenerate hint, never a ``KeyError``.
-    """
-    failures = []
-    base_phases = baseline.get("on", {}).get("phases", {})
-    for name in PHASES:
-        base_phase = base_phases.get(name)
-        if base_phase is None or "ops_per_s" not in base_phase:
-            failures.append(
-                f"{name}: missing from baseline JSON — regenerate it with "
-                f"'python -m repro bench --async-writes --json "
-                f"benchmarks/BENCH_async.json'")
-            continue
-        base = base_phase["ops_per_s"]
-        cur = doc["on"]["phases"][name]["ops_per_s"]
-        if base > 0 and cur < base * (1.0 - tolerance):
-            failures.append(
-                f"{name}: async throughput {cur:,.0f} ops/s is "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
-    if doc["speedup"]["file_create"] < CREATE_FLOOR:
-        failures.append(
-            f"file_create: async speedup {doc['speedup']['file_create']:.2f}x "
-            f"< {CREATE_FLOOR:.0f}x acceptance floor")
-    w = doc["on"]["wblog"]
-    if w.get("rejected", 0):
-        failures.append(
-            f"clean ablation run rejected {w['rejected']} write-behind ops")
-    return failures

@@ -22,22 +22,22 @@ servers as 4 independent 2-server ensembles) and identical pin budget:
   splitting the hot shard's directories away live and merging them back
   when the hot set rotates. Same ``max_pins`` budget as the tuned arms.
 
-The acceptance gate (enforced by ``scripts/check_regression.py --suite
-elastic`` in CI): elastic aggregate ``file_create`` AND ``file_stat``
-throughput must be at least :data:`SPEEDUP_FLOOR` x the **best** static
-arm. The win is pure adaptivity — no extra servers, no extra pins, just
+The acceptance gate (the ``elastic`` entry of
+:data:`repro.bench.suites.SUITES`, enforced in CI): elastic aggregate
+``file_create`` AND ``file_stat`` throughput must be at least 1.3x the
+**best** static arm. The win is pure adaptivity — no extra servers, no extra pins, just
 moving them at the right time.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..core.fs import build_dufs_deployment
 from ..mds import ShardMap
 from ..models.params import ElasticParams, SimParams
 from ..workloads.driver import run_phase
+from .suites import SUITES
 
 _SCALES = {
     # scale -> (n_client_nodes, n_procs, dirs_per_period, cycles, items)
@@ -52,9 +52,8 @@ N_SHARDS = 4
 #: Equal-knowledge constant: every arm gets the same pin budget.
 PIN_BUDGET = 8
 
-#: The acceptance gate, per measured op kind.
+#: The measured op kinds; each is gated on elastic over best static.
 GATED_OPS = ("file_create", "file_stat")
-SPEEDUP_FLOOR = 1.3
 
 ARMS = ("hash", "tuned-A", "tuned-B", "elastic")
 
@@ -167,24 +166,22 @@ def _run_arm(arm: str, hot: Dict[str, List[str]], scale: str,
     return doc
 
 
-def run_elastic_bench(scale: str = "quick", seed: int = 0,
-                      arms: Sequence[str] = ARMS) -> Dict:
+def run(scale: str = "quick", seed: int = 0) -> Dict:
     """Run every arm on the identical workload; returns a JSON-ready doc."""
     n_clients, n_procs, dirs_per_period, cycles, items = _SCALES[scale]
     # Period A's hot set collides onto shard 0, period B's onto shard 1.
     hot = {"A": colliding_dirs(0, dirs_per_period, "a"),
            "B": colliding_dirs(1, dirs_per_period, "b")}
-    runs = {arm: _run_arm(arm, hot, scale, seed) for arm in arms}
+    runs = {arm: _run_arm(arm, hot, scale, seed) for arm in ARMS}
 
-    static_arms = [a for a in arms if a != "elastic"]
+    static_arms = [a for a in ARMS if a != "elastic"]
     best_static = {
-        op: max((runs[a]["throughput"][op] for a in static_arms),
-                default=0.0)
+        op: max(runs[a]["throughput"][op] for a in static_arms)
         for op in GATED_OPS
     }
     speedup = {
         op: (runs["elastic"]["throughput"][op] / best_static[op]
-             if "elastic" in runs and best_static[op] else 0.0)
+             if best_static[op] else 0.0)
         for op in GATED_OPS
     }
     return {
@@ -204,7 +201,7 @@ def run_elastic_bench(scale: str = "quick", seed: int = 0,
     }
 
 
-def render_elastic_bench(doc: Dict) -> str:
+def render(doc: Dict) -> str:
     lines = [f"elastic plane (scale={doc['scale']} seed={doc['seed']}, "
              f"{doc['n_zk_total']} ZK servers as {doc['n_shards']} shards, "
              f"pin budget {doc['pin_budget']}):",
@@ -213,10 +210,11 @@ def render_elastic_bench(doc: Dict) -> str:
         cells = " ".join(f"{run['throughput'][op]:>14,.0f}"
                          for op in GATED_OPS)
         lines.append(f"  {arm:<10} {cells}")
+    floors = SUITES["elastic"].floors
     for op in GATED_OPS:
         lines.append(f"  gate: {op} elastic/best-static = "
                      f"{doc['speedup_vs_best_static'][op]:.2f}x "
-                     f"(floor {SPEEDUP_FLOOR}x)")
+                     f"(floor {floors['speedup_vs_best_static/' + op]}x)")
     el = doc["arms"].get("elastic", {}).get("elastic")
     if el:
         mig = el["migrator"]
@@ -226,38 +224,3 @@ def render_elastic_bench(doc: Dict) -> str:
                      f"{mig['entries_copied']} entries copied")
     return "\n".join(lines)
 
-
-def write_elastic_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_elastic_regression(doc: Dict, baseline: Optional[Dict] = None,
-                             tolerance: float = 0.25) -> List[str]:
-    """Gate a fresh run: the adaptivity floor always applies; with a
-    committed baseline, per-arm throughput must also stay within
-    ``tolerance``. Returns human-readable failures (empty = pass)."""
-    failures: List[str] = []
-    for op in GATED_OPS:
-        gate = doc.get("speedup_vs_best_static", {}).get(op, 0.0)
-        if gate < SPEEDUP_FLOOR:
-            failures.append(
-                f"{op}: elastic speedup {gate:.2f}x over best static arm "
-                f"< {SPEEDUP_FLOOR}x acceptance floor")
-    if baseline is not None:
-        for arm, run in doc.get("arms", {}).items():
-            base_run = baseline.get("arms", {}).get(arm)
-            if base_run is None:
-                failures.append(f"baseline has no arm {arm!r} — "
-                                f"regenerate the baseline JSON")
-                continue
-            for op in GATED_OPS:
-                base = base_run.get("throughput", {}).get(op, 0.0)
-                cur = run["throughput"][op]
-                if base > 0 and cur < base * (1.0 - tolerance):
-                    failures.append(
-                        f"{op} @ {arm}: throughput {cur:,.0f} ops/s is "
-                        f">{tolerance:.0%} below baseline {base:,.0f}")
-    return failures

@@ -17,19 +17,19 @@ counters. The workload is the read-heavy traffic the cache targets:
   listing is cached with a child watch and the readdir-plus child
   lookups piggyback the stats, so the second sweep is RPC-free.
 
-Results are machine-readable (:func:`write_cache_bench_json`) so CI can
-track the perf trajectory across PRs and fail on regression.
+CI gates the document against ``benchmarks/BENCH_mdcache.json`` through
+the ``mdcache`` entry of :data:`repro.bench.suites.SUITES`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 from ..core.fs import build_dufs_deployment
 from ..core.mdcache import aggregate_counters
 from ..models.params import CacheParams, SimParams
 from ..workloads.driver import run_phase
+from .suites import render_off_on, run_off_on
 
 _SCALES = {
     # scale -> (n_zk, n_client_nodes, n_dirs, files_per_dir, procs, repeat)
@@ -136,37 +136,15 @@ def _run_side(cache: Optional[CacheParams], scale: str, seed: int) -> Dict:
     }
 
 
-def run_cache_ablation(scale: str = "quick", seed: int = 0,
-                       cache: Optional[CacheParams] = None) -> Dict:
+def run(scale: str = "quick", seed: int = 0) -> Dict:
     """Run the ablation; returns a JSON-ready result document."""
-    on_policy = cache or CacheParams.caching_on()
-    off = _run_side(None, scale, seed)
-    on = _run_side(on_policy, scale, seed)
-    doc = {
-        "benchmark": "mdcache_ablation",
-        "scale": scale,
-        "seed": seed,
-        "off": off,
-        "on": on,
-        "speedup": {
-            name: (on["phases"][name]["ops_per_s"]
-                   / off["phases"][name]["ops_per_s"]
-                   if off["phases"][name]["ops_per_s"] else 0.0)
-            for name in PHASES
-        },
-    }
-    return doc
+    return run_off_on("mdcache_ablation", _run_side, None,
+                      CacheParams.caching_on(), scale, seed, PHASES)
 
 
-def render_cache_ablation(doc: Dict) -> str:
-    lines = [f"cache ablation (scale={doc['scale']} seed={doc['seed']}):",
-             f"  {'phase':<12} {'off ops/s':>12} {'on ops/s':>12} "
-             f"{'speedup':>8}"]
-    for name in PHASES:
-        off = doc["off"]["phases"][name]["ops_per_s"]
-        on = doc["on"]["phases"][name]["ops_per_s"]
-        lines.append(f"  {name:<12} {off:>12,.0f} {on:>12,.0f} "
-                     f"{doc['speedup'][name]:>7.2f}x")
+def render(doc: Dict) -> str:
+    lines = render_off_on(doc, "cache ablation", PHASES,
+                          "off ops/s", "on ops/s")
     c = doc["on"]["cache"]
     lines.append(f"  cache-on: hit-rate {doc['on']['hit_rate']:.1%} "
                  f"(hits={c['hits']} misses={c['misses']} "
@@ -175,45 +153,3 @@ def render_cache_ablation(doc: Dict) -> str:
                  f"zk reads {doc['on']['zk_reads']} vs "
                  f"{doc['off']['zk_reads']} uncached")
     return "\n".join(lines)
-
-
-def write_cache_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_regression(doc: Dict, baseline: Dict,
-                     tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh ablation run against a committed baseline.
-
-    Returns a list of human-readable failures: any cache-on phase whose
-    simulated throughput dropped more than ``tolerance`` below the
-    baseline, or a speedup that fell under the 2x acceptance floor for
-    the stat phases. A phase missing from the baseline JSON (stale file
-    from before the phase existed, or hand-edited) is itself reported as
-    a failure with a regenerate hint — never a ``KeyError``.
-    """
-    failures = []
-    base_phases = baseline.get("on", {}).get("phases", {})
-    for name in PHASES:
-        base_phase = base_phases.get(name)
-        if base_phase is None or "ops_per_s" not in base_phase:
-            failures.append(
-                f"{name}: missing from baseline JSON — regenerate it with "
-                f"'python -m repro bench --json "
-                f"benchmarks/BENCH_mdcache.json'")
-            continue
-        base = base_phase["ops_per_s"]
-        cur = doc["on"]["phases"][name]["ops_per_s"]
-        if base > 0 and cur < base * (1.0 - tolerance):
-            failures.append(
-                f"{name}: cache-on throughput {cur:,.0f} ops/s is "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
-    for name in ("stat_hot", "stat_shared"):
-        if doc["speedup"][name] < 2.0:
-            failures.append(
-                f"{name}: cache speedup {doc['speedup'][name]:.2f}x "
-                f"< 2x acceptance floor")
-    return failures

@@ -24,21 +24,19 @@ Phases map to the three DL access patterns:
   more unique directories than the walk arm's dcache bound, so the walk
   re-reads ~``depth - 1`` ancestors per stat while the thin client pays
   exactly one RPC. This is the acceptance phase: thin-client throughput
-  must be **>= 3x** the walk (``check_resolve_regression``).
-
-Results are machine-readable (:func:`write_resolve_bench_json`) so CI
-tracks the trajectory and fails on regression.
+  must be **>= 3x** the walk (the ``resolve`` floor in
+  :data:`repro.bench.suites.SUITES`).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Generator, List
+from typing import Dict, Generator
 
 from ..core.fs import build_dufs_deployment
 from ..models.params import ResolveParams, SimParams
 from ..workloads.dltrain import DLTrainSpec, epoch_order
 from ..workloads.driver import run_phase
+from .suites import render_off_on, run_off_on
 
 _SCALES = {
     # scale -> (n_zk, n_client_nodes, workload spec). depth stays 8 at
@@ -58,9 +56,6 @@ PHASES = ("flat_stat", "epoch_read", "deep_stat")
 #: dcache. Every scale's deep tree has more directories than this, so
 #: deep stats actually churn instead of going resident.
 WALK_DCACHE = 64
-
-#: Acceptance floor (ISSUE): thin-client deep_stat throughput vs walk.
-DEEP_STAT_FLOOR = 3.0
 
 
 def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
@@ -151,37 +146,17 @@ def _run_side(resolve: ResolveParams, scale: str, seed: int) -> Dict:
     }
 
 
-def run_resolve_ablation(scale: str = "quick", seed: int = 0) -> Dict:
+def run(scale: str = "quick", seed: int = 0) -> Dict:
     """Run the ablation; returns a JSON-ready result document."""
-    off = _run_side(ResolveParams(walk=True, dcache_capacity=WALK_DCACHE),
-                    scale, seed)
-    on = _run_side(ResolveParams.resolve_on(), scale, seed)
-    return {
-        "benchmark": "resolve_ablation",
-        "scale": scale,
-        "seed": seed,
-        "depth": _SCALES[scale][2].depth,
-        "off": off,
-        "on": on,
-        "speedup": {
-            name: (on["phases"][name]["ops_per_s"]
-                   / off["phases"][name]["ops_per_s"]
-                   if off["phases"][name]["ops_per_s"] else 0.0)
-            for name in PHASES
-        },
-    }
+    return run_off_on("resolve_ablation", _run_side,
+                      ResolveParams(walk=True, dcache_capacity=WALK_DCACHE),
+                      ResolveParams.resolve_on(), scale, seed, PHASES,
+                      depth=_SCALES[scale][2].depth)
 
 
-def render_resolve_ablation(doc: Dict) -> str:
-    lines = [f"resolve ablation (scale={doc['scale']} seed={doc['seed']} "
-             f"depth={doc['depth']}):",
-             f"  {'phase':<12} {'walk ops/s':>12} {'thin ops/s':>12} "
-             f"{'speedup':>8}"]
-    for name in PHASES:
-        off = doc["off"]["phases"][name]["ops_per_s"]
-        on = doc["on"]["phases"][name]["ops_per_s"]
-        lines.append(f"  {name:<12} {off:>12,.0f} {on:>12,.0f} "
-                     f"{doc['speedup'][name]:>7.2f}x")
+def render(doc: Dict) -> str:
+    lines = render_off_on(doc, f"resolve ablation at depth {doc['depth']}",
+                          PHASES, "walk ops/s", "thin ops/s")
     s = doc["on"]["server"]
     lines.append(
         f"  thin: {doc['on']['reads_per_lookup']:.2f} RPCs/lookup "
@@ -191,42 +166,3 @@ def render_resolve_ablation(doc: Dict) -> str:
         f"over {s['resolves']} resolves")
     return "\n".join(lines)
 
-
-def write_resolve_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_resolve_regression(doc: Dict, baseline: Dict,
-                             tolerance: float = 0.25) -> List[str]:
-    """Compare a fresh run against the committed baseline.
-
-    Failures: any thin-client phase throughput more than ``tolerance``
-    below baseline, or a ``deep_stat`` speedup under the 3x acceptance
-    floor. A phase missing from the baseline (stale or hand-edited
-    JSON) is reported with a regenerate hint, never a ``KeyError``.
-    """
-    failures = []
-    base_phases = baseline.get("on", {}).get("phases", {})
-    for name in PHASES:
-        base_phase = base_phases.get(name)
-        if base_phase is None or "ops_per_s" not in base_phase:
-            failures.append(
-                f"{name}: missing from baseline JSON — regenerate it with "
-                f"'python -m repro bench --resolve --json "
-                f"benchmarks/BENCH_resolve.json'")
-            continue
-        base = base_phase["ops_per_s"]
-        cur = doc["on"]["phases"][name]["ops_per_s"]
-        if base > 0 and cur < base * (1.0 - tolerance):
-            failures.append(
-                f"{name}: thin-client throughput {cur:,.0f} ops/s is "
-                f">{tolerance:.0%} below baseline {base:,.0f}")
-    if doc["speedup"]["deep_stat"] < DEEP_STAT_FLOOR:
-        failures.append(
-            f"deep_stat: resolve speedup {doc['speedup']['deep_stat']:.2f}x "
-            f"< {DEEP_STAT_FLOOR:.0f}x acceptance floor at depth "
-            f"{doc['depth']}")
-    return failures

@@ -13,17 +13,18 @@ The create phases are the gate: hash-of-parent placement keeps mdtest
 creates shard-local, so ``file_create`` throughput should scale
 near-linearly until client-side work dominates. CI regenerates
 ``benchmarks/BENCH_shard.json`` and fails if 4 shards stop clearing the
-1.5x acceptance floor over 1 shard (:func:`check_shard_regression`).
+1.5x acceptance floor over 1 shard (the ``shard`` entry of
+:data:`repro.bench.suites.SUITES`).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from ..core.fs import build_dufs_deployment
 from ..models.params import SimParams
 from ..workloads.mdtest import MdtestConfig, run_mdtest
+from .suites import SUITES
 
 _SCALES = {
     # scale -> (n_zk_total, n_client_nodes, n_procs, items_per_proc)
@@ -35,9 +36,8 @@ _SCALES = {
 #: Phases measured; the create phases are the scaling claim.
 PHASES = ("dir_create", "file_create", "file_stat", "file_remove")
 
-#: The acceptance gate: 4-shard file_create >= FLOOR x 1-shard.
-CREATE_PHASE = "file_create"
-SPEEDUP_FLOOR = 1.5
+#: Equal-hardware splits of the ZK budget; speedups are vs 1 shard.
+SHARD_COUNTS = (1, 2, 4)
 
 
 def _run_one(n_shards: int, scale: str, seed: int) -> Dict:
@@ -63,12 +63,11 @@ def _run_one(n_shards: int, scale: str, seed: int) -> Dict:
     return doc
 
 
-def run_shard_scaling(scale: str = "quick", seed: int = 0,
-                      shard_counts: Sequence[int] = (1, 2, 4)) -> Dict:
+def run(scale: str = "quick", seed: int = 0) -> Dict:
     """Run the sweep; returns a JSON-ready result document."""
     n_zk, n_clients, n_procs, items = _SCALES[scale]
-    runs = {str(n): _run_one(n, scale, seed) for n in shard_counts}
-    base = runs[str(shard_counts[0])]
+    runs = {str(n): _run_one(n, scale, seed) for n in SHARD_COUNTS}
+    base = runs["1"]
     doc = {
         "benchmark": "shard_scaling",
         "scale": scale,
@@ -84,13 +83,13 @@ def run_shard_scaling(scale: str = "quick", seed: int = 0,
                        if base["phases"][name]["ops_per_s"] else 0.0)
                 for name in PHASES
             }
-            for n in shard_counts
+            for n in SHARD_COUNTS
         },
     }
     return doc
 
 
-def render_shard_scaling(doc: Dict) -> str:
+def render(doc: Dict) -> str:
     counts = sorted(doc["shards"], key=int)
     lines = [f"shard scaling (scale={doc['scale']} seed={doc['seed']}, "
              f"{doc['n_zk_total']} ZK servers total, "
@@ -105,52 +104,9 @@ def render_shard_scaling(doc: Dict) -> str:
             for n in counts)
         lines.append(f"  {name:<12} {cells} "
                      f"{doc['speedup_vs_1'][last][name]:>7.2f}x")
-    gate = doc["speedup_vs_1"][last][CREATE_PHASE]
-    lines.append(f"  gate: {CREATE_PHASE} at {last} shards = {gate:.2f}x "
-                 f"(floor {SPEEDUP_FLOOR}x)")
+    floor = SUITES["shard"].floors["speedup_vs_1/4/file_create"]
+    lines.append(f"  gate: file_create at {last} shards = "
+                 f"{doc['speedup_vs_1'][last]['file_create']:.2f}x "
+                 f"(floor {floor}x)")
     return "\n".join(lines)
 
-
-def write_shard_bench_json(doc: Dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def check_shard_regression(doc: Dict, baseline: Optional[Dict] = None,
-                           tolerance: float = 0.25) -> List[str]:
-    """Gate a fresh sweep: the create-phase scaling floor always applies;
-    with a committed ``baseline``, per-configuration throughput must also
-    stay within ``tolerance`` of it. Returns human-readable failures."""
-    failures = []
-    counts = sorted(doc["shards"], key=int)
-    top = counts[-1]
-    gate = doc["speedup_vs_1"].get(top, {}).get(CREATE_PHASE, 0.0)
-    if gate < SPEEDUP_FLOOR:
-        failures.append(
-            f"{CREATE_PHASE}: {top}-shard speedup {gate:.2f}x < "
-            f"{SPEEDUP_FLOOR}x acceptance floor")
-    if baseline is not None:
-        for n in counts:
-            base_run = baseline.get("shards", {}).get(n)
-            if base_run is None:
-                failures.append(
-                    f"baseline has no entry for {n} shard(s) — "
-                    f"regenerate the baseline JSON")
-                continue
-            for name in PHASES:
-                base_phase = base_run.get("phases", {}).get(name)
-                if base_phase is None:
-                    failures.append(
-                        f"baseline {n}-shard run has no phase {name!r} — "
-                        f"regenerate the baseline JSON")
-                    continue
-                base = base_phase["ops_per_s"]
-                cur = doc["shards"][n]["phases"][name]["ops_per_s"]
-                if base > 0 and cur < base * (1.0 - tolerance):
-                    failures.append(
-                        f"{name} @ {n} shard(s): throughput {cur:,.0f} "
-                        f"ops/s is >{tolerance:.0%} below baseline "
-                        f"{base:,.0f}")
-    return failures

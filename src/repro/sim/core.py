@@ -496,12 +496,6 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
 
-    def all_of(self, events: Iterable[Event]) -> Condition:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        return AnyOf(self, events)
-
     # -- execution -------------------------------------------------------
     def step(self) -> None:
         """Dispatch exactly one scheduled item (event or process wakeup)."""

@@ -230,10 +230,6 @@ class Network:
         self._link_faults.pop((src_host, dst_host), None)
         self._routes.clear()
 
-    def clear_link_faults(self) -> None:
-        self._link_faults.clear()
-        self._routes.clear()
-
     def _fault_for(self, src_host: str, dst_host: str) -> Optional[LinkFault]:
         if not self._link_faults or src_host == dst_host:
             return None

@@ -312,11 +312,6 @@ class ZKServer:
             except ZKError:
                 pass  # concurrent deletion is fine
 
-    def expire_session(self, session: int):
-        """Test/failure-injection hook: expire from outside a handler."""
-        return self.node.spawn(self._expire_session(session),
-                               f"zk{self.sid}.expire")
-
     def _h_read(self, src: str, req: ReadRequest) -> Generator:
         yield from self.node.cpu_work(self.params.read_cpu)
         if self.role == LOOKING:
@@ -599,9 +594,6 @@ class ZKServer:
             else:
                 raise ZKError(sub.path, f"bad multi op {sub.op!r}")
         return subs, results
-
-    def _peek_zxid(self) -> int:
-        return (self.epoch << 32) | (self.zxid_counter + 1)
 
     def _next_zxid(self) -> int:
         self.zxid_counter += 1

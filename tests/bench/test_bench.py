@@ -1,5 +1,7 @@
 """Bench harness plumbing: figure results, rendering, paper data, CLI."""
 
+import json
+
 import pytest
 
 from repro.bench.figures import FigureResult, SCALES, run_fig11
@@ -83,3 +85,33 @@ def test_cli_rejects_unknown_target():
 
     with pytest.raises(SystemExit):
         main(["fig99"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--async"], ["trace", "--elastic"], ["trace", "--resilience"],
+    ["bench", "shard", "--cache"], ["bench"], ["bench", "nosuch"],
+    ["bench", "shard", "--shards", "4"], ["bench", "--shards", "1,2,4"],
+    ["fig11", "--json", "out.json"], ["fig11", "extra"],
+])
+def test_cli_rejects_options_the_target_cannot_honour(argv):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_profile_offers_every_bench_suite():
+    from repro.bench import profile_targets
+    from repro.bench.suites import SUITES
+
+    assert {f"bench:{name}" for name in SUITES} <= set(profile_targets())
+
+
+def test_cli_bench_writes_the_suite_document(tmp_path, capsys):
+    from repro.cli import main
+
+    out = tmp_path / "BENCH_resilience.json"
+    assert main(["bench", "resilience", "--json", str(out)]) == 0
+    assert "gate: goodput" in capsys.readouterr().out
+    assert json.loads(out.read_text())["benchmark"] == "resilience_overload"
