@@ -10,6 +10,7 @@ measured.
 import pytest
 
 from repro.core import build_dufs_deployment
+from repro.models.params import FaultToleranceParams
 from repro.pfs.giga import build_giga
 from repro.sim import Cluster
 from repro.workloads.driver import run_phase
@@ -98,7 +99,8 @@ def test_giga_loses_availability(benchmark):
         dep = build_dufs_deployment(n_zk=3, n_backends=2, n_client_nodes=2,
                                     backend="local", seed=1,
                                     co_locate_zk=False,  # crash ZK, not us
-                                    zk_request_timeout=0.5, zk_max_retries=4)
+                                    fault=FaultToleranceParams(
+                                        request_timeout=0.5, max_retries=4))
         m = dep.mounts[0]
 
         def fill2():

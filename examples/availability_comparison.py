@@ -14,7 +14,8 @@ Run:  python examples/availability_comparison.py
 from repro.chaos import ChaosEngine, ChaosSchedule
 from repro.core import build_dufs_deployment
 from repro.errors import FSError
-from repro.models.params import LustreParams, SimParams, ZKParams
+from repro.models.params import (FaultToleranceParams, LustreParams,
+                                 SimParams, ZKParams)
 from repro.pfs.lustre import build_lustre
 from repro.sim import Cluster
 
@@ -64,7 +65,8 @@ def dufs_zk_failover_gap():
     dep = build_dufs_deployment(n_zk=5, n_backends=2, n_client_nodes=2,
                                 backend="local", params=params,
                                 co_locate_zk=False,
-                                zk_request_timeout=0.4, zk_max_retries=10)
+                                fault=FaultToleranceParams(
+                                    request_timeout=0.4, max_retries=10))
     dep.cluster.sim.run(until=1.0)  # settle
     mount = dep.mounts[0]
     completions = []

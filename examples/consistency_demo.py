@@ -13,7 +13,7 @@ Run:  python examples/consistency_demo.py
 
 from repro.core import build_dufs_deployment
 from repro.errors import FSError
-from repro.models.params import SimParams, ZKParams
+from repro.models.params import FaultToleranceParams, SimParams, ZKParams
 from repro.zk.data import ZnodeStore
 
 
@@ -43,7 +43,8 @@ def dufs_race():
     dep = build_dufs_deployment(n_zk=5, n_backends=2, n_client_nodes=2,
                                 backend="local", params=params,
                                 co_locate_zk=False,
-                                zk_request_timeout=0.5, zk_max_retries=6)
+                                fault=FaultToleranceParams(
+                                    request_timeout=0.5, max_retries=6))
     # Wait for the initial election to settle.
     dep.cluster.sim.run(until=2.0)
     m0, m1 = dep.mounts[0], dep.mounts[1]

@@ -94,17 +94,17 @@ def _static_pins(dirs: Sequence[str], n_shards: int = N_SHARDS,
 def _build_arm(arm: str, hot: Dict[str, List[str]], n_clients: int,
                seed: int):
     pins = None
-    autoscale = None
+    elastic = None
     if arm == "tuned-A":
         pins = _static_pins(hot["A"])
     elif arm == "tuned-B":
         pins = _static_pins(hot["B"])
     elif arm == "elastic":
-        autoscale = bench_elastic_params()
+        elastic = bench_elastic_params()
     return build_dufs_deployment(
         n_zk=N_ZK_TOTAL, n_backends=2, n_client_nodes=n_clients,
         backend="local", params=SimParams(), seed=seed, n_shards=N_SHARDS,
-        shard_subtrees=pins, autoscale=autoscale)
+        shard_subtrees=pins, elastic=elastic)
 
 
 def _run_arm(arm: str, hot: Dict[str, List[str]], scale: str,

@@ -34,8 +34,8 @@ from typing import Callable, List, Optional
 
 from ..errors import FSError
 from ..models.params import (AsyncParams, CacheParams, ElasticParams,
-                             LustreParams, PVFSParams, ResilienceParams,
-                             SimParams, ZKParams)
+                             FaultToleranceParams, LustreParams, PVFSParams,
+                             ResilienceParams, SimParams, ZKParams)
 from ..sim.node import Cluster
 from .audit import AuditReport, audit_dufs
 from .engine import ChaosEngine
@@ -114,12 +114,15 @@ def _build_dufs(seed: int, cache: Optional[CacheParams] = None,
     # shards == 1 keeps the historical 5-server build; sharded chaos runs
     # give each shard a 3-server quorum (crash one and its slice elects).
     n_zk = 5 if shards <= 1 else 3 * shards
+    # A short ZK request timeout with generous retries: a dead server is
+    # failed over in sim-milliseconds instead of the default 5 s.
     dep = build_dufs_deployment(n_zk=n_zk, n_backends=2, n_client_nodes=2,
                                 backend="local", params=params,
                                 co_locate_zk=False, seed=seed,
-                                zk_request_timeout=0.4, zk_max_retries=10,
+                                fault=FaultToleranceParams(
+                                    request_timeout=0.4, max_retries=10),
                                 cache=cache, n_shards=shards,
-                                resilience=resilience, autoscale=elastic,
+                                resilience=resilience, elastic=elastic,
                                 awrite=awrite)
     flat_servers = [s for ens in dep.ensembles for s in ens.servers]
 

@@ -72,6 +72,22 @@ ACCEPTS = {
     "profile": ("subtarget", "top", "sort"),
     "all": _FIGURE_OPTIONS,
 }
+#: chaos options that only the DUFS deployment honours.
+DUFS_ONLY = ("cache", "resilience", "elastic", "async_writes", "shards")
+
+
+def chaos_policies(args) -> dict:
+    """``run_chaos``'s DUFS-only arguments (the client policies and the
+    shard count) from the chaos flags, built in this one place."""
+    from .models.params import (AsyncParams, CacheParams, ElasticParams,
+                                ResilienceParams)
+    return dict(
+        cache=CacheParams.caching_on() if args.cache else None,
+        shards=args.shards,
+        resilience=ResilienceParams.resilience_on(hedge_enabled=True)
+        if args.resilience else None,
+        elastic=ElasticParams.elastic_on() if args.elastic else None,
+        awrite=AsyncParams.async_on() if args.async_writes else None)
 
 
 def main(argv=None) -> int:
@@ -141,42 +157,30 @@ def main(argv=None) -> int:
                              "service")
     args = parser.parse_args(argv)
 
+    accepted = set(ACCEPTS[args.target])
+    target = args.target
+    if target == "chaos" and args.deployment != "dufs":
+        accepted -= set(DUFS_ONLY)
+        target = f"chaos --deployment {args.deployment}"
     rejected = {dest for options in ACCEPTS.values() for dest in options} \
-        - set(ACCEPTS[args.target])
+        - accepted
     for action in parser._actions:
         if action.dest in rejected \
                 and getattr(args, action.dest) != action.default:
             flag = (action.option_strings or [action.dest])[0]
-            parser.error(f"'{args.target}' does not accept {flag}")
+            parser.error(f"'{target}' does not accept {flag}")
     if args.shards < 1:
         parser.error("--shards must be >= 1")
+    if args.elastic and args.shards < 2:
+        parser.error("--elastic needs --shards >= 2")
 
     targets = list(RUNNERS) + ["claims"] if args.target == "all" \
         else [args.target]
     for target in targets:
         if target == "chaos":
             from .chaos import run_chaos
-            from .models.params import (AsyncParams, CacheParams,
-                                        ElasticParams, ResilienceParams)
-            cache = CacheParams.caching_on() \
-                if args.cache and args.deployment == "dufs" else None
-            resilience = ResilienceParams.resilience_on(hedge_enabled=True) \
-                if args.resilience and args.deployment == "dufs" else None
-            awrite = None
-            if args.async_writes:
-                if args.deployment != "dufs":
-                    parser.error("chaos --async needs the DUFS deployment")
-                awrite = AsyncParams.async_on()
-            elastic = None
-            if args.elastic:
-                if args.deployment != "dufs" or args.shards < 2:
-                    parser.error("chaos --elastic needs the DUFS deployment "
-                                 "with --shards >= 2")
-                elastic = ElasticParams.elastic_on()
             result = run_chaos(args.deployment, seed=args.seed, ops=args.ops,
-                               cache=cache, shards=args.shards,
-                               resilience=resilience, elastic=elastic,
-                               awrite=awrite)
+                               **chaos_policies(args))
             print(result.summary())
         elif target == "trace":
             from .bench.trace_cli import run_trace

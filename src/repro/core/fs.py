@@ -24,7 +24,7 @@ from ..pfs.lustre.fs import build_lustre
 from ..pfs.pvfs.fs import build_pvfs
 from ..sim.node import Cluster, Node
 from ..svc import TraceBus, instrument_client
-from ..zk.client import _UNSET, ZKClient
+from ..zk.client import ZKClient
 from ..zk.ensemble import ZKEnsemble, build_ensemble
 from .client import DUFSClient
 from .mapping import MappingFunction
@@ -52,7 +52,7 @@ class DUFSDeployment:
     # shard order. ``ensemble`` stays bound to shard 0 for compatibility.
     ensembles: Optional[List[ZKEnsemble]] = None
     n_shards: int = 1
-    # Elastic metadata plane (all None/off unless ``autoscale`` enabled):
+    # Elastic metadata plane (all None/off unless ``elastic`` enabled):
     # the epoch-versioned map registry, the live-migration executor, and
     # the load-driven control loop.
     registry: Optional[Any] = None      # ShardMapRegistry
@@ -118,8 +118,6 @@ def build_dufs_deployment(
     co_locate_zk: bool = True,
     mapping_strategy: str = "md5mod",
     seed: int = 0,
-    zk_request_timeout: Any = _UNSET,
-    zk_max_retries: Any = _UNSET,
     fault: Optional[FaultToleranceParams] = None,
     bus: Optional[TraceBus] = None,
     trace: bool = False,
@@ -129,7 +127,7 @@ def build_dufs_deployment(
     shard_subtrees: Optional[dict] = None,
     resilience: Optional[ResilienceParams] = None,
     resolve: Optional[ResolveParams] = None,
-    autoscale: Optional[ElasticParams] = None,
+    elastic: Optional[ElasticParams] = None,
     awrite: Optional[AsyncParams] = None,
 ) -> DUFSDeployment:
     """Wire up a complete DUFS installation on a fresh simulated cluster.
@@ -139,11 +137,16 @@ def build_dufs_deployment(
     instance = ``pvfs_servers_per_instance`` combined metadata/data
     servers) or ``"local"`` (cheap in-memory, for tests/examples).
 
-    Fault tolerance: each ZK client follows ``fault`` (default:
-    ``params.fault`` — finite timeouts, retries with backoff, session
-    re-establishment), so a lost message or crashed server can no longer
-    hang a deployment. ``zk_request_timeout`` / ``zk_max_retries`` remain
-    as explicit per-deployment overrides of that policy.
+    Every client policy below has exactly one way in: its keyword
+    argument here. An omitted policy is its dataclass default; ``params``
+    carries only the service-time models.
+
+    Fault tolerance: every ZK client follows ``fault``
+    (:class:`~repro.models.params.FaultToleranceParams`: per-request
+    timeout, retries with decorrelated-jitter backoff under a per-op
+    budget, session re-establishment), so a lost message or crashed
+    server cannot hang a deployment. A dead back-end fails only
+    the FID slice mapped to it (degraded mode is always on).
 
     Tracing: pass ``trace=True`` (or an explicit ``bus``) to collect
     per-op queue-wait / service-time metrics from every endpoint — the ZK
@@ -153,14 +156,14 @@ def build_dufs_deployment(
     simulator events, so traced and untraced runs are event-for-event
     identical.
 
-    Caching: ``cache`` (default: ``params.cache``, disabled) enables the
+    Caching: ``cache`` (default: disabled) enables the
     per-client coherent metadata cache
     (:class:`~repro.core.mdcache.MDCache`) — positive/negative/readdir
     entries invalidated by ZooKeeper watches, with read coalescing. The
     default policy is off, which keeps the RPC stream byte-identical to a
     deployment without the cache layer.
 
-    Resilience: ``resilience`` (default: ``params.resilience``, all off)
+    Resilience: ``resilience`` (default: all off)
     configures the request-lifecycle layer on every ZK client — deadline
     propagation to the servers, a token-bucket retry budget, per-endpoint
     circuit breakers, and hedged reads
@@ -178,7 +181,7 @@ def build_dufs_deployment(
     ``shard_subtrees``). The default ``n_shards=1`` builds the exact
     pre-sharding deployment: same objects, names and event order.
 
-    Path resolution: ``resolve`` (default: ``params.resolve``, off)
+    Path resolution: ``resolve`` (default: off)
     switches the clients to *thin* mode — lookups go through the metadata
     plane's server-side ``resolve`` endpoint, one RPC per lookup at any
     path depth (:class:`~repro.models.params.ResolveParams`;
@@ -186,34 +189,29 @@ def build_dufs_deployment(
     emulates the legacy fat-client per-component VFS walk the thin mode
     is benchmarked against. Off keeps runs byte-identical.
 
-    Elastic scaling: ``autoscale`` (default: ``params.elastic``, off)
+    Elastic scaling: ``elastic`` (default: off)
     turns the static shard map into an epoch-versioned one behind a
     :class:`~repro.mds.ShardMapRegistry`, installs per-server route
     guards enforcing the epoch protocol (stale-epoch requests bounce with
     the new map; writes under a mid-copy migration park until cutover),
     wires a :class:`~repro.mds.Migrator` for live subtree moves and —
-    unless ``autoscale.autoscale`` is False — spawns the
+    unless ``elastic.autoscale`` is False — spawns the
     :class:`~repro.mds.Autoscaler` control loop that splits hot shards
     and merges cold pins from windowed per-shard op rates
     (``ElasticParams.elastic_on()`` is the preset). Requires
     ``n_shards >= 2``. Off keeps runs byte-identical.
 
-    Asynchronous metadata updates: ``awrite`` (default: ``params.awrite``,
-    off) puts every client in write-behind mode — namespace mutations
-    append to a per-client ordered log (:mod:`repro.core.wblog`), ack
-    immediately, and drain in the background in group-committed batches;
-    reads are answered read-your-writes from the cache's pending-write
-    overlay, and explicit barriers (``flush``/``fsync``, rename) force
-    synchronous commit (``AsyncParams.async_on()`` is the preset). Off
-    keeps runs byte-identical: the log is not even constructed.
+    Asynchronous metadata updates: ``awrite`` (default: off) puts every
+    client in write-behind mode — namespace mutations append to a
+    per-client ordered log (:mod:`repro.core.wblog`), ack immediately, and
+    drain in the background in group-committed batches; reads are
+    answered read-your-writes from the cache's pending-write overlay, and
+    explicit barriers (``flush``/``fsync``, rename) force synchronous
+    commit (``AsyncParams.async_on()`` is the preset). Off keeps runs
+    byte-identical: the log is not even constructed.
     """
     params = params or SimParams()
-    fault = fault or params.fault
-    cache = cache or params.cache
-    resilience = resilience or params.resilience
-    resolve = resolve or params.resolve
-    awrite = awrite or params.awrite
-    elastic = autoscale if autoscale is not None else params.elastic
+    elastic = elastic or ElasticParams()
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
     if elastic.enabled and n_shards < 2:
@@ -279,9 +277,8 @@ def build_dufs_deployment(
             else:
                 prefer = ensemble.server_for(i)
             zkc = ZKClient(node, ensemble.endpoints, prefer=prefer,
-                           request_timeout=zk_request_timeout,
-                           max_retries=zk_max_retries, name=f"dufszk{i}",
-                           fault=fault, bus=bus, resilience=resilience)
+                           name=f"dufszk{i}", fault=fault, bus=bus,
+                           resilience=resilience)
             service = zkc
             retries_of = lambda z=zkc: z.last_retries  # noqa: E731
         else:
@@ -299,8 +296,6 @@ def build_dufs_deployment(
                     prefer = ens.server_for(i)
                 shard_clients.append(
                     ZKClient(node, ens.endpoints, prefer=prefer,
-                             request_timeout=zk_request_timeout,
-                             max_retries=zk_max_retries,
                              name=f"dufszk{i}s{k}", fault=fault, bus=bus,
                              resilience=resilience))
             zkc = shard_clients[0]
@@ -336,9 +331,8 @@ def build_dufs_deployment(
         mig_node = client_nodes[0]
         mig_clients = [
             ZKClient(mig_node, ens.endpoints, prefer=ens.server_for(0),
-                     request_timeout=zk_request_timeout,
-                     max_retries=zk_max_retries, name=f"migzk{k}",
-                     fault=fault, bus=bus, resilience=resilience)
+                     name=f"migzk{k}", fault=fault, bus=bus,
+                     resilience=resilience)
             for k, ens in enumerate(ensembles)]
         migrator = Migrator(registry, mig_clients, drain=elastic.drain)
         if elastic.autoscale:

@@ -9,9 +9,9 @@ observation). Every ``interval`` simulated seconds it:
    satellite signal; falls back to per-directory op-count deltas summed
    by the current map when no bus is wired),
 2. classifies shards *hot* (rate above ``hot_factor ×`` the mean) and
-   *cold* (below ``cold_factor ×``), requiring ``hysteresis`` consecutive
-   hot ticks before acting so an oscillating workload never flaps the
-   map,
+   pinned subtrees *cold* (subtree rate below ``merge_min_ops`` ops/s),
+   requiring ``hysteresis`` consecutive hot (or cold) ticks before acting
+   so an oscillating workload never flaps the map,
 3. proposes **splits** — pin the hottest directories of a hot shard to
    the coldest shards — and **merges** — unpin subtrees that have gone
    idle — subject to the server-budget constraint: the shard pool is

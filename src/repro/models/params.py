@@ -20,16 +20,16 @@ from dataclasses import dataclass, field, replace
 
 @dataclass
 class FaultToleranceParams:
-    """Client-side fault-tolerance policy (ZK client + DUFS).
+    """The ZooKeeper client's retry policy, the only one in the model.
 
     ``request_timeout``/``max_retries`` bound a single RPC; the retry loop
     sleeps between attempts with *decorrelated jitter* backoff
     (``sleep = min(cap, uniform(base, 3 * prev))``) and gives up early once
-    ``op_budget`` seconds have elapsed for the whole operation. With
-    ``reconnect_on_expiry`` the client transparently re-establishes its
-    session after a :class:`~repro.zk.errors.SessionExpiredError`;
-    ``degraded_mode`` lets a DUFS client keep serving the namespace while a
-    dead back-end fails only the FID slice mapped to it.
+    ``op_budget`` seconds have elapsed for the whole operation. The client
+    always re-establishes its session after a
+    :class:`~repro.zk.errors.SessionExpiredError`, and a DUFS client always
+    keeps serving the namespace while a dead back-end fails only the FID
+    slice mapped to it (degraded mode).
     """
 
     request_timeout: float = 5.0
@@ -37,13 +37,12 @@ class FaultToleranceParams:
     backoff_base: float = 0.02
     backoff_cap: float = 1.0
     op_budget: float = 60.0            # wall-clock budget per operation
-    reconnect_on_expiry: bool = True
-    degraded_mode: bool = True
 
 
 @dataclass
 class ResilienceParams:
-    """End-to-end request-lifecycle policy (:mod:`repro.resilience`).
+    """End-to-end request-lifecycle policy of the ZooKeeper clients
+    (:mod:`repro.resilience`).
 
     Everything defaults **off**: a deployment built with the default policy
     schedules exactly the same simulator events as one built before the
@@ -74,8 +73,6 @@ class ResilienceParams:
     op_deadline: float = 0.0           # 0 = derive from fault.op_budget
     retry_budget: float = 0.0          # token-bucket cap; 0 = unlimited
     retry_refill: float = 0.1          # tokens returned per success
-    backoff_base: float = 0.0          # extra client backoff (Lustre/PVFS)
-    backoff_cap: float = 1.0
     breaker_enabled: bool = False
     breaker_threshold: int = 5         # consecutive failures to trip
     breaker_cooldown: float = 1.0      # open -> half-open delay (seconds)
@@ -92,8 +89,7 @@ class ResilienceParams:
         overload it adds load; enable it explicitly for tail-latency
         experiments)."""
         base = dict(deadline_propagation=True, retry_budget=10.0,
-                    retry_refill=0.1, breaker_enabled=True,
-                    backoff_base=0.02)
+                    retry_refill=0.1, breaker_enabled=True)
         base.update(overrides)
         return cls(**base)
 
@@ -203,7 +199,6 @@ class LustreParams:
     # DLM model
     dlm_enabled: bool = True
     revoke_cpu: float = 35e-6          # MDS CPU to issue one blocking callback
-    client_cancel_cpu: float = 25e-6   # client CPU to cancel a cached lock
     lock_grant_cpu: float = 18e-6
     # MDS bookkeeping grows with resident lock count (hash/LRU pressure):
     lock_table_cpu_coef: float = 9e-6  # × ln(1 + locks/1024) added per op
@@ -223,8 +218,6 @@ class LustreParams:
     client_rpc_timeout: float | None = None
     # Standby takeover delay: detect + mount shared MDT + replay journal.
     failover_takeover_delay: float = 2.0
-    # Client request-lifecycle policy (deadlines / retry budget / breaker).
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
 
     # directory entry ops slow down logarithmically with directory size
     dirent_cpu_coef: float = 18e-6     # × ln(1 + entries)
@@ -264,8 +257,6 @@ class PVFSParams:
     # Client RPC timeout (None = infinite, the 2.8-era sysint behaviour).
     # Set in chaos runs so a crashed server surfaces as EIO, not a hang.
     client_rpc_timeout: float | None = None
-    # Client request-lifecycle policy (deadlines / retry budget / breaker).
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
 
 
 @dataclass
@@ -420,7 +411,6 @@ class ElasticParams:
     interval: float = 0.1              # control-loop period (s)
     window: float = 0.25               # TraceBus op-rate window (s)
     hot_factor: float = 1.6            # hot: rate > hot_factor * mean
-    cold_factor: float = 0.6           # cold: rate < cold_factor * mean
     hysteresis: int = 2                # consecutive hot/cold ticks to act
     cooldown: float = 0.4              # min seconds between moves of a root
     max_pins: int = 8                  # pin-table budget (server budget)
@@ -441,22 +431,20 @@ class ElasticParams:
 
 @dataclass
 class SimParams:
-    """Bundle of every model, plus testbed-level knobs."""
+    """Bundle of every service-time model, plus testbed-level knobs.
+
+    Client *policies* (fault tolerance, cache, resilience, resolve,
+    elastic plane, write-behind) are not here: each has one way in, its
+    keyword argument of :func:`~repro.core.fs.build_dufs_deployment`.
+    """
 
     zk: ZKParams = field(default_factory=ZKParams)
     lustre: LustreParams = field(default_factory=LustreParams)
     pvfs: PVFSParams = field(default_factory=PVFSParams)
     fuse: FUSEParams = field(default_factory=FUSEParams)
     dufs: DUFSParams = field(default_factory=DUFSParams)
-    fault: FaultToleranceParams = field(default_factory=FaultToleranceParams)
-    cache: CacheParams = field(default_factory=CacheParams)
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
-    resolve: ResolveParams = field(default_factory=ResolveParams)
-    elastic: ElasticParams = field(default_factory=ElasticParams)
-    awrite: AsyncParams = field(default_factory=AsyncParams)
 
     node_cores: int = 8                # dual Xeon E5335
-    client_op_cpu: float = 18e-6       # mdtest/app-side cost per op
     seed: int = 0
 
     def with_overrides(self, **kwargs) -> "SimParams":

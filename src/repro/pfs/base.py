@@ -20,6 +20,11 @@ S_IFLNK = statmod.S_IFLNK
 DEFAULT_DIR_MODE = S_IFDIR | 0o755
 DEFAULT_FILE_MODE = S_IFREG | 0o644
 
+#: Attempts per back-end client RPC (Lustre, PVFS) when the deployment sets
+#: ``client_rpc_timeout``: timeouts and admission rejects are retried at
+#: once, then the op fails with EIO. Without a timeout there is 1 attempt.
+RPC_ATTEMPTS = 5
+
 
 @dataclass
 class StatResult:

@@ -13,12 +13,12 @@ import itertools
 from typing import Generator, List, Tuple
 
 from ...errors import EEXIST, EIO, EISDIR, ENOENT, ENOTDIR, FSError
-from ...resilience import BreakerBoard, RetryBudget, RetryPolicy
 from ...sim.core import AllOf
 from ...sim.node import Node
 from ...sim.rpc import RpcAgent, RpcTimeout
 from ...svc.queue import AdmissionReject
 from ..base import (
+    RPC_ATTEMPTS,
     DirEntry,
     S_IFDIR,
     S_IFLNK,
@@ -40,18 +40,6 @@ class PVFSClient:
         self.agent = RpcAgent(
             node, f"{fs.name}-cli-{node.name}-{next(_client_seq)}")
         self.stats = {"ops": 0, "rpcs": 0}
-        # Shared resilience policy (inert at the defaults); breakers are
-        # per server endpoint — PVFS talks to many.
-        r = fs.params.resilience
-        self.resilience = r
-        self.retry = RetryPolicy(
-            node.cluster.streams, f"pvfs.client.{self.agent.endpoint}",
-            backoff_base=r.backoff_base, backoff_cap=r.backoff_cap,
-            budget=RetryBudget(r.retry_budget, r.retry_refill))
-        self.breakers = BreakerBoard(self.sim, r.breaker_threshold,
-                                     r.breaker_cooldown,
-                                     enabled=r.breaker_enabled)
-        self.breaker_fastfails = 0
 
     # -- plumbing ------------------------------------------------------------
     def _owner(self, handle: int) -> str:
@@ -60,45 +48,15 @@ class PVFSClient:
     def _call(self, endpoint: str, method: str, args, size: int = 144) -> Generator:
         self.stats["rpcs"] += 1
         timeout = self.fs.params.client_rpc_timeout
-        r = self.resilience
-        policy = self.retry
-        # ``is not None`` (not truthiness): a configured timeout of 0 must
-        # enable retries exactly like any other timeout — this disagreed
-        # with the Lustre client for years.
-        policy.max_retries = 4 if timeout is not None else 0
-        state = policy.begin(self.sim.now)
-        kw: dict = {}
-        if r.deadline_propagation and r.op_deadline > 0:
-            kw["deadline"] = self.sim.now + r.op_deadline
-        while True:
-            if not self.breakers.allow(endpoint):
-                self.breaker_fastfails += 1
-                state.attempt += 1
-                if policy.exhausted(state, self.sim.now):
-                    raise FSError(
-                        EIO, msg=f"PVFS server unreachable: {method}"
-                    ) from None
-                sleep = policy.next_backoff(state)
-                if sleep > 0:
-                    yield self.sim.timeout(sleep)
-                continue
+        # ``is not None`` (not truthiness): a timeout of 0 still retries.
+        for _ in range(RPC_ATTEMPTS if timeout is not None else 1):
             try:
                 result = yield from self.agent.call(endpoint, method, args,
-                                                    size=size, timeout=timeout,
-                                                    **kw)
-                self.breakers.on_success(endpoint)
-                policy.on_success()
+                                                    size=size, timeout=timeout)
                 return result
             except (RpcTimeout, AdmissionReject):
-                self.breakers.on_failure(endpoint)
-                state.attempt += 1
-                if policy.exhausted(state, self.sim.now):
-                    raise FSError(
-                        EIO, msg=f"PVFS server unreachable: {method}"
-                    ) from None
-                sleep = policy.next_backoff(state)
-                if sleep > 0:
-                    yield self.sim.timeout(sleep)
+                pass
+        raise FSError(EIO, msg=f"PVFS server unreachable: {method}")
 
     def _pcall(self, calls: List[Tuple[str, str, object]]) -> Generator:
         """Run several server calls in parallel, return results in order."""

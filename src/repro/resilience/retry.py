@@ -1,7 +1,7 @@
-"""Shared retry policy: decorrelated-jitter backoff + token-bucket budget.
+"""Retry policy: decorrelated-jitter backoff + token-bucket budget.
 
-Replaces the hardcoded loops that grew independently in the Lustre, PVFS,
-ZooKeeper and DUFS clients. Two pieces:
+The ZooKeeper client's retry loop asks this policy its questions (the
+Lustre and PVFS clients keep a fixed-attempt loop). Two pieces:
 
 - :class:`RetryBudget` — a per-client token bucket in the style of gRPC's
   retry throttling: every retry spends a token, every success refills a
@@ -14,7 +14,7 @@ ZooKeeper and DUFS clients. Two pieces:
   drawn from a named random stream so replay is deterministic.
 
 With ``backoff_base = 0`` and no budget the policy performs no RNG draws
-and yields no events — byte-identical to the legacy immediate-retry loops.
+and yields no events: retries are immediate.
 """
 
 from __future__ import annotations
@@ -72,12 +72,11 @@ class RetryState:
 
 
 class RetryPolicy:
-    """Retry accounting + backoff shared by the client stacks.
+    """Retry accounting + backoff for one client.
 
-    The loop shape stays in each client (their exception taxonomies and
-    failover moves differ); the policy centralizes the three questions
-    every loop asks — *may I retry?*, *how long do I sleep?*, *am I out
-    of time?* — with the exact legacy semantics as the default answers.
+    The loop shape stays in the client (its exception taxonomy and
+    failover moves); the policy answers the three questions the loop
+    asks — *may I retry?*, *how long do I sleep?*, *am I out of time?*
     """
 
     def __init__(

@@ -19,7 +19,7 @@ from .node import Node
 DEFAULT_REQ_SIZE = 192
 DEFAULT_RESP_SIZE = 160
 
-_UNSET = object()   # sentinel: "inherit the ambient deadline"
+_INHERIT = object()  # sentinel: "inherit the ambient deadline"
 
 
 class RpcTimeout(Exception):
@@ -236,7 +236,7 @@ class RpcAgent:
         size: int = DEFAULT_REQ_SIZE,
         resp_size: int = DEFAULT_RESP_SIZE,
         timeout: Optional[float] = None,
-        deadline: Any = _UNSET,
+        deadline: Any = _INHERIT,
     ) -> Generator:
         """Issue an RPC and wait for the reply (``yield from`` this).
 
@@ -248,7 +248,7 @@ class RpcAgent:
         caps the local wait: the call raises :class:`RpcTimeout` no later
         than the deadline, immediately if it has already passed.
         """
-        if deadline is _UNSET:
+        if deadline is _INHERIT:
             active = self.sim._active
             deadline = active.deadline if active is not None else None
         if deadline is not None:

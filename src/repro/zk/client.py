@@ -35,8 +35,6 @@ from .protocol import ReadRequest, WatchEvent, WriteRequest
 
 _client_seq = itertools.count()
 
-_UNSET = object()
-
 
 class ZKClient:
     """A session-holding client bound to one node of the cluster."""
@@ -46,8 +44,6 @@ class ZKClient:
         node: Node,
         servers: Sequence[str],
         prefer: Optional[str] = None,
-        request_timeout: Any = _UNSET,
-        max_retries: Any = _UNSET,
         name: Optional[str] = None,
         fault: Optional[FaultToleranceParams] = None,
         bus: Optional[TraceBus] = None,
@@ -61,15 +57,9 @@ class ZKClient:
         self.server = prefer if prefer is not None else self.servers[0]
         if self.server not in self.servers:
             raise ValueError(f"prefer {self.server!r} not in server list")
+        # Every policy, the default included, bounds a request (timeout,
+        # retries with backoff), so a lost message cannot hang an op.
         self.fault = fault or FaultToleranceParams()
-        # Explicit per-client values win over the fault-tolerance policy;
-        # the defaults (5 s timeout, retries with backoff) mean a single
-        # lost message can no longer hang an operation forever.
-        self.request_timeout = (self.fault.request_timeout
-                                if request_timeout is _UNSET
-                                else request_timeout)
-        self.max_retries = (self.fault.max_retries if max_retries is _UNSET
-                            else max_retries)
         self.session: Optional[int] = None
         self.last_retries = 0       # retries performed by the last request
         self.shard = 0              # metadata shard this client talks to
@@ -80,15 +70,14 @@ class ZKClient:
         self.map_epoch: Optional[int] = None
         self.bus = bus if bus is not None else NULL_BUS
         ident = name or f"zkcli{next(_client_seq)}"
-        self._backoff_stream = f"zk.client.{ident}"
         # Resilience policy: at the defaults every component below is
         # inert (no events, no RNG draws, no fast-fails), reproducing the
         # legacy retry loop byte-for-byte.
         self.resilience = resilience or ResilienceParams()
         r = self.resilience
         self.retry = RetryPolicy(
-            node.cluster.streams, self._backoff_stream,
-            max_retries=self.max_retries,
+            node.cluster.streams, f"zk.client.{ident}",
+            max_retries=self.fault.max_retries,
             backoff_base=self.fault.backoff_base,
             backoff_cap=self.fault.backoff_cap,
             op_budget=self.fault.op_budget,
@@ -143,12 +132,6 @@ class ZKClient:
         return None
 
     # -- plumbing ------------------------------------------------------------
-    def _backoff(self, prev: float) -> float:
-        """Decorrelated jitter: ``min(cap, uniform(base, 3 * prev))``."""
-        f = self.fault
-        rng = self.node.cluster.streams.stream(self._backoff_stream)
-        return min(f.backoff_cap, rng.uniform(f.backoff_base, 3.0 * prev))
-
     def _request(self, method: str, args: Any, size: int = 160,
                  trace_as: Optional[str] = None) -> Generator:
         f = self.fault
@@ -158,13 +141,7 @@ class ZKClient:
                 and isinstance(args, (ReadRequest, WriteRequest))
                 and args.map_epoch < 0):
             args = dataclasses.replace(args, map_epoch=self.map_epoch)
-        # Sync the policy with any post-construction knob changes (tests
-        # and the chaos runner tweak max_retries/fault in place).
         policy = self.retry
-        policy.max_retries = self.max_retries
-        policy.backoff_base = f.backoff_base
-        policy.backoff_cap = f.backoff_cap
-        policy.op_budget = f.op_budget
         state = policy.begin(t0)
         # Server-visible absolute deadline, carried on each _Request so
         # the svc kernel can shed the op once we must have given up.
@@ -199,11 +176,11 @@ class ZKClient:
                     return result
                 except SessionExpiredError:
                     # The server no longer knows our session: re-establish
-                    # it and rebind the request, unless the caller opted
-                    # out or this *is* session management.
+                    # it and rebind the request, unless this *is* session
+                    # management.
                     self.breakers.on_success(server)  # endpoint is alive
                     reconnects += 1
-                    if (not f.reconnect_on_expiry or reconnects > 2
+                    if (reconnects > 2
                             or method in ("connect", "close_session")):
                         raise
                     self.session = None
@@ -237,33 +214,29 @@ class ZKClient:
                rpc_deadline: Optional[float]) -> Generator:
         """One attempt: a plain call, or a hedged pair for reads."""
         r = self.resilience
-        kw: dict = {}
+        kw: dict = {"timeout": self.fault.request_timeout}
         if rpc_deadline is not None:
             kw["deadline"] = rpc_deadline
         hedging = (r.hedge_enabled and method == "read"
                    and len(self.servers) > 1)
         if not hedging:
             result = yield from self.agent.call(
-                server, method, args, size=size,
-                timeout=self.request_timeout, **kw)
+                server, method, args, size=size, **kw)
             return result
         t_start = self.sim.now
         alt = self._hedge_target(server)
         if alt is None:
             result = yield from self.agent.call(
-                server, method, args, size=size,
-                timeout=self.request_timeout, **kw)
+                server, method, args, size=size, **kw)
             self._hedge_tracker.record(self.sim.now - t_start)
             return result
 
         def primary():
-            return self.agent.call(server, method, args, size=size,
-                                   timeout=self.request_timeout, **kw)
+            return self.agent.call(server, method, args, size=size, **kw)
 
         def secondary():
             self.hedges += 1
-            return self.agent.call(alt, method, args, size=size,
-                                   timeout=self.request_timeout, **kw)
+            return self.agent.call(alt, method, args, size=size, **kw)
 
         result, won = yield from hedged(self.node, primary, secondary,
                                         self._hedge_tracker.delay())

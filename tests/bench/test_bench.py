@@ -92,6 +92,12 @@ def test_cli_rejects_unknown_target():
     ["bench", "shard", "--cache"], ["bench"], ["bench", "nosuch"],
     ["bench", "shard", "--shards", "4"], ["bench", "--shards", "1,2,4"],
     ["fig11", "--json", "out.json"], ["fig11", "extra"],
+    ["chaos", "--elastic"],
+    ["chaos", "--deployment", "pvfs", "--cache"],
+    ["chaos", "--deployment", "pvfs", "--resilience"],
+    ["chaos", "--deployment", "pvfs", "--async"],
+    ["chaos", "--deployment", "pvfs", "--elastic"],
+    ["chaos", "--deployment", "pvfs", "--shards", "2"],
 ])
 def test_cli_rejects_options_the_target_cannot_honour(argv):
     from repro.cli import main

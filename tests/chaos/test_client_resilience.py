@@ -63,7 +63,8 @@ def test_zk_client_survives_leader_crash():
     dep = build_dufs_deployment(n_zk=3, n_backends=1, n_client_nodes=1,
                                 backend="local", params=params,
                                 co_locate_zk=False, seed=6,
-                                zk_request_timeout=0.4, zk_max_retries=10)
+                                fault=FaultToleranceParams(
+                                    request_timeout=0.4, max_retries=10))
     dep.cluster.sim.run(until=1.0)
     mount = dep.mounts[0]
     dep.call(mount.mkdir, "/d")
@@ -86,8 +87,8 @@ def test_zk_defaults_bound_lost_requests():
     dep = build_dufs_deployment(n_zk=1, n_backends=1, n_client_nodes=1,
                                 backend="local", seed=4)
     zkc = dep.zk_clients[0]
-    assert zkc.request_timeout == FaultToleranceParams().request_timeout
-    assert zkc.max_retries == FaultToleranceParams().max_retries
+    assert zkc.fault == FaultToleranceParams()
+    assert zkc.retry.max_retries == FaultToleranceParams().max_retries
 
     dep.ensemble.servers[0].node.crash()
     with pytest.raises(ConnectionLossError):

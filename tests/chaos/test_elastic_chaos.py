@@ -5,7 +5,8 @@ import pytest
 
 from repro.chaos import audit_dufs
 from repro.core import build_dufs_deployment
-from repro.models.params import ElasticParams, SimParams, ZKParams
+from repro.models.params import (ElasticParams, FaultToleranceParams,
+                                 SimParams, ZKParams)
 
 
 def build_elastic_chaos(seed=0):
@@ -18,8 +19,9 @@ def build_elastic_chaos(seed=0):
     return build_dufs_deployment(n_zk=6, n_backends=2, n_client_nodes=2,
                                  backend="local", n_shards=2, params=params,
                                  co_locate_zk=False, seed=seed,
-                                 zk_request_timeout=0.2, zk_max_retries=2,
-                                 autoscale=ElasticParams.elastic_on(
+                                 fault=FaultToleranceParams(
+                                     request_timeout=0.2, max_retries=2),
+                                 elastic=ElasticParams.elastic_on(
                                      autoscale=False, drain=0.02))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.chaos import ChaosSchedule, audit_dufs, run_chaos
 from repro.core import build_dufs_deployment
-from repro.models.params import SimParams, ZKParams
+from repro.models.params import FaultToleranceParams, SimParams, ZKParams
 from repro.zk.errors import ZKError
 
 
@@ -41,7 +41,8 @@ def test_dead_shard_degrades_only_its_slice():
     dep = build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=1,
                                 backend="local", n_shards=2, params=params,
                                 co_locate_zk=False,
-                                zk_request_timeout=0.2, zk_max_retries=2)
+                                fault=FaultToleranceParams(
+                                    request_timeout=0.2, max_retries=2))
     svc = dep.clients[0].zk
     m = dep.mounts[0]
     # Two dirs homed on different shards.

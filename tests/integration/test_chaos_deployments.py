@@ -18,7 +18,7 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.core import build_dufs_deployment
-from repro.models.params import SimParams, ZKParams
+from repro.models.params import FaultToleranceParams, SimParams, ZKParams
 from repro.workloads.mdtest import MdtestConfig, run_mdtest
 
 #: The shared schedule: metadata server 0 dies at t+0.5s, returns at
@@ -75,7 +75,8 @@ def test_dufs_minority_zk_crashes_mdtest_zero_violations():
     dep = build_dufs_deployment(n_zk=5, n_backends=2, n_client_nodes=2,
                                 backend="local", params=params,
                                 co_locate_zk=False, seed=11,
-                                zk_request_timeout=0.4, zk_max_retries=10)
+                                fault=FaultToleranceParams(
+                                    request_timeout=0.4, max_retries=10))
     dep.cluster.sim.run(until=1.0)   # settle
 
     # The workload spans ~1-2 simulated seconds; the generator packs a

@@ -23,7 +23,7 @@ def build_elastic(seed=0, bus=None, autoscale=False):
                                        interval=0.05, window=0.15)
     return build_dufs_deployment(n_zk=8, n_backends=2, n_client_nodes=2,
                                  backend="local", seed=seed, n_shards=4,
-                                 bus=bus, autoscale=elastic)
+                                 bus=bus, elastic=elastic)
 
 
 def pinnable_dir(dep, tag="t"):
@@ -40,7 +40,7 @@ def test_elastic_needs_at_least_two_shards():
     with pytest.raises(ValueError):
         build_dufs_deployment(n_zk=4, n_backends=2, n_client_nodes=1,
                               backend="local", n_shards=1,
-                              autoscale=ElasticParams.elastic_on())
+                              elastic=ElasticParams.elastic_on())
 
 
 def test_elastic_wiring_and_off_by_default():

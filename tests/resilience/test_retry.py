@@ -84,7 +84,7 @@ def test_backoff_matches_decorrelated_jitter_replay():
 
 
 def test_zero_base_backoff_never_draws():
-    """backoff_base == 0 (the Lustre/PVFS default) must consume nothing
+    """backoff_base == 0 (the RetryPolicy default) must consume nothing
     from the stream — the replay-identical guarantee."""
     streams = RandomStreams(3)
     pol = RetryPolicy(streams, "lustre.client.c0", max_retries=4)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models.params import ZKParams
+from repro.models.params import FaultToleranceParams, ZKParams
 from repro.sim import Cluster
 from repro.zk import ZKClient, build_ensemble
 
@@ -23,7 +23,13 @@ class ZKHarness:
         self._cli_count = 0
 
     def client(self, prefer_index=0, node=None, **kwargs) -> ZKClient:
+        """``request_timeout``/``max_retries`` keywords become the client's
+        :class:`FaultToleranceParams`; the rest go to ``ZKClient``."""
         node = node or self.client_nodes[0]
+        policy = {k: kwargs.pop(k) for k in ("request_timeout", "max_retries")
+                  if k in kwargs}
+        if policy:
+            kwargs["fault"] = FaultToleranceParams(**policy)
         return ZKClient(node, self.ensemble.endpoints,
                         prefer=self.ensemble.endpoints[prefer_index], **kwargs)
 
